@@ -36,8 +36,9 @@ impl SizeOrder {
 /// `prepare` is called once (timed as candidate generation) to build the
 /// method's per-tree structures `T`; `filter` then decides, for a pair that
 /// already passed the size window, whether it becomes a candidate.
-/// Candidates are verified with exact TED using the engine's dynamic
-/// strategy.
+/// Candidates are verified with the τ-bounded exact TED of
+/// [`TedEngine::within`] (dynamic strategy) — the same leaf PartSJ's
+/// verify chain ends in, so method comparisons measure the filters.
 pub fn filter_verify_join<T, P, F>(
     trees: &[Tree],
     tau: u32,
@@ -85,8 +86,8 @@ where
 
         let verify_start = Instant::now();
         for &other in &candidates {
-            let d = engine.distance(&prepared[probe as usize], &prepared[other as usize]);
-            if d <= tau {
+            let (p, o) = (&prepared[probe as usize], &prepared[other as usize]);
+            if engine.within(p, o, tau).is_some() {
                 pairs.push((other, probe));
             }
         }

@@ -91,7 +91,11 @@ fn steady_state_probes_allocate_nothing() {
 
     // Probe sizes deliberately zig-zag so dirty-scratch reuse across
     // mismatched tree sizes is what's being measured, not a lucky
-    // monotone warm-up.
+    // monotone warm-up. The last probe is one rename away from the
+    // catalog's "{a{b}{c}{d}{e}{f}}": that pair is shape-accepted, but
+    // catalog trees of other shapes in its size window (such as
+    // "{a{b}{c}{d}}") survive every filter, so the measured pass must
+    // run the exact TED kernel.
     let probes = parse_all(
         &[
             "{a{b}{c}{d}{e}{f}}",
@@ -100,9 +104,11 @@ fn steady_state_probes_allocate_nothing() {
             "{x{y}}",
             "{q{w}{e}{r}{t}}",
             "{a{b}{c}}",
+            "{a{b}{c}{d}{e}{g}}",
         ],
         &mut labels,
     );
+    let rename_probe = probes.len() - 1;
 
     // --- Single-probe queries -------------------------------------------
     let mut engine = VerifyEngine::with_filters(2, &config.verify);
@@ -122,12 +128,19 @@ fn steady_state_probes_allocate_nothing() {
         }
     }
 
-    for (probe, expected) in probes.iter().zip(&expected) {
+    for (idx, (probe, expected)) in probes.iter().zip(&expected).enumerate() {
+        let ted_before = engine.ted_calls();
         let before = allocations();
         catalog
             .query_into(probe, &config, &mut engine, &mut scratch, &mut hits)
             .unwrap();
         let after = allocations();
+        if idx == rename_probe {
+            assert!(
+                engine.ted_calls() > ted_before,
+                "the rename probe must reach exact TED in the measured pass"
+            );
+        }
         assert_eq!(
             after - before,
             0,
@@ -166,6 +179,10 @@ fn steady_state_probes_allocate_nothing() {
     let before = allocations();
     let stats = run(&probes, &mut pairs);
     let small_allocs = allocations() - before;
+    assert!(
+        stats.ted_calls > 0,
+        "the measured batch join must reach exact TED"
+    );
     assert_eq!(pairs, expected_pairs, "recycled join changed its answer");
     assert_eq!(stats.results, expected_pairs.len() as u64);
 

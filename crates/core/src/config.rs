@@ -9,7 +9,7 @@
 ///
 /// Two details are under-specified in the text, and our reproduction (and
 /// its brute-force equivalence tests) shows both matter for completeness
-/// (see DESIGN.md for the full analysis):
+/// (see the substitution notes in `docs/ARCHITECTURE.md`):
 ///
 /// 1. **Which postorder?** Positions must be *general-tree* postorder
 ///    numbers (as drawn in the paper's Figure 7), not binary-tree ones.

@@ -20,7 +20,7 @@
 //! | 2 | `shape-accept` | upper | O(1), O(n) on hit | accept |
 //! | 3 | `label-hist` | lower | O(n) merge | reject |
 //! | 4 | `traversal-sed`| lower | O(τ·n) banded DP | reject |
-//! | — | exact TED | — | O(n²·min-height²) DP | both |
+//! | — | exact TED | — | τ-bounded Zhang–Shasha | both |
 //!
 //! A **lower-bound** stage computes `lb ≤ TED` and rejects when
 //! `lb > τ`; rejection can never drop a true result. An **upper-bound**
@@ -739,8 +739,9 @@ impl VerifyEngine {
                 StageVerdict::AcceptWithin(_) | StageVerdict::Continue => {}
             }
         }
-        let d = self.ted.distance(&a.prepared, &b.prepared);
-        (d <= self.tau).then_some(d)
+        // The τ-bounded exact leaf: one counted TED call per pair, with
+        // an exact distance whenever it is within τ.
+        self.ted.distance_within(&a.prepared, &b.prepared, self.tau)
     }
 
     /// Counts one completed check toward the adaptive reorder period.

@@ -1,10 +1,10 @@
 //! Collection generators for the paper's four evaluation datasets (§4).
 //!
 //! The three real datasets (Swissprot, Treebank, Sentiment) are not
-//! redistributable offline, so — per the substitution policy in DESIGN.md —
-//! each is simulated by a generator tuned to reproduce the statistics the
-//! paper reports (average tree size, label count, average and maximum
-//! depth). The synthetic dataset follows the Zaki generator parameters of
+//! redistributable offline, so — per the substitution notes in
+//! `docs/ARCHITECTURE.md` — each is simulated by a generator tuned to
+//! reproduce the statistics the paper reports (average tree size, label
+//! count, average and maximum depth). The synthetic dataset follows the Zaki generator parameters of
 //! Table 1 plus the decay factor `Dz` of Yang et al.
 //!
 //! Every collection mixes *independent* random trees with clusters of

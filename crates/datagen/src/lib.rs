@@ -5,7 +5,7 @@
 //! generator with Table 1's parameters, the decay-factor (`Dz`) mutation
 //! model of Yang et al., and statistical simulators standing in for the
 //! Swissprot / Treebank / Sentiment datasets (see the substitution notes in
-//! DESIGN.md).
+//! `docs/ARCHITECTURE.md`).
 
 #![warn(missing_docs)]
 

@@ -3,9 +3,10 @@
 //! The paper computes all exact distances with RTED (Pawlik & Augsten,
 //! PVLDB 2011), a framework that picks, per subproblem, the decomposition
 //! path minimizing the number of relevant subproblems. Full RTED requires
-//! Demaine-style general single-path functions; as documented in
-//! `DESIGN.md`, we reproduce its *decision* at tree-pair granularity over
-//! the two classical single-path algorithms:
+//! Demaine-style general single-path functions; as documented in the
+//! substitution notes of `docs/ARCHITECTURE.md`, we reproduce its
+//! *decision* at tree-pair granularity over the two classical
+//! single-path algorithms:
 //!
 //! * **left decomposition** — Zhang–Shasha on the trees as given;
 //! * **right decomposition** — Zhang–Shasha on both mirror images, which is
@@ -15,10 +16,12 @@
 //! relevant-subproblem cost estimates; [`TedEngine::distance`] multiplies
 //! the per-tree costs and runs the cheaper side. Both sides are exact, so
 //! the choice affects only running time — never the reported distance.
+//! [`TedEngine::within`] and [`TedEngine::distance_within`] make the same
+//! choice and run the τ-bounded kernel on the chosen side.
 
 use crate::cost::CostModel;
 use crate::ted_tree::{TedBuildScratch, TedTree};
-use crate::zs::{tree_distance, TedWorkspace};
+use crate::zs::{tree_distance, tree_distance_within, TedWorkspace};
 use tsj_tree::Tree;
 
 /// Which decomposition a distance computation used (or must use).
@@ -152,6 +155,34 @@ impl TedEngine {
     /// Exact distance between two prepared trees.
     pub fn distance(&mut self, a: &PreparedTree, b: &PreparedTree) -> u32 {
         self.computations += 1;
+        let (a, b) = self.sides(a, b);
+        tree_distance(a, b, &self.costs, &mut self.ws)
+    }
+
+    /// One counted τ-bounded exact computation: `Some(d)` iff
+    /// `TED(a, b) = d ≤ tau`, with `d` exact.
+    ///
+    /// Unit costs run [`tree_distance_within`], which only computes the
+    /// cells a script of cost `≤ τ` can reach; any other cost model runs
+    /// the unbounded DP and compares, because the band and window of the
+    /// bounded kernel assume insertions and deletions cost 1. Unlike
+    /// [`TedEngine::within`] this counts one computation even when the
+    /// kernel's own size check decides the pair.
+    pub fn distance_within(&mut self, a: &PreparedTree, b: &PreparedTree, tau: u32) -> Option<u32> {
+        self.computations += 1;
+        let unit = self.costs.is_unit();
+        let (a, b) = self.sides(a, b);
+        if unit {
+            tree_distance_within(a, b, tau, &mut self.ws)
+        } else {
+            let d = tree_distance(a, b, &self.costs, &mut self.ws);
+            (d <= tau).then_some(d)
+        }
+    }
+
+    /// The decomposition [`TedEngine::distance`] runs on: both trees'
+    /// left forms, or both mirrored forms.
+    fn sides<'t>(&self, a: &'t PreparedTree, b: &'t PreparedTree) -> (&'t TedTree, &'t TedTree) {
         let use_right = match self.strategy {
             Strategy::Left => false,
             Strategy::Right => true,
@@ -164,9 +195,9 @@ impl TedEngine {
             }
         };
         if use_right {
-            tree_distance(&a.right, &b.right, &self.costs, &mut self.ws)
+            (&a.right, &b.right)
         } else {
-            tree_distance(&a.left, &b.left, &self.costs, &mut self.ws)
+            (&a.left, &b.left)
         }
     }
 
@@ -177,15 +208,18 @@ impl TedEngine {
 
     /// Threshold test: is `TED(a, b) ≤ tau`?
     ///
-    /// Applies the size lower bound before running the cubic DP — each edit
-    /// operation changes the tree size by at most one (§3.2, footnote 1).
+    /// Applies the size lower bound before any DP — each insertion or
+    /// deletion changes the tree size by one (§3.2, footnote 1), so a
+    /// size gap of `g` costs at least `g · min(insert, delete)`. Pairs it
+    /// rejects are not counted; the rest run
+    /// [`TedEngine::distance_within`].
     pub fn within(&mut self, a: &PreparedTree, b: &PreparedTree, tau: u32) -> Option<u32> {
-        let diff = a.len().abs_diff(b.len()) as u32;
-        if diff > tau {
+        let diff = a.len().abs_diff(b.len()) as u64;
+        let per_node = u64::from(self.costs.insert.min(self.costs.delete));
+        if diff * per_node > u64::from(tau) {
             return None;
         }
-        let d = self.distance(a, b);
-        (d <= tau).then_some(d)
+        self.distance_within(a, b, tau)
     }
 }
 
@@ -266,6 +300,52 @@ mod tests {
             Some(4)
         );
         assert_eq!(engine.computations(), 1);
+    }
+
+    #[test]
+    fn non_unit_costs_fall_back_to_the_exact_dp() {
+        // Free insertions: TED({a}, {a{b}{c}{d}}) = 0, although the sizes
+        // differ by 3. The unit-cost band would reject the pair at τ = 1.
+        let (ta, tb) = pair("{a}", "{a{b}{c}{d}}");
+        let (pa, pb) = (PreparedTree::new(&ta), PreparedTree::new(&tb));
+        assert_eq!(
+            crate::zs::tree_distance_within(&pa.left, &pb.left, 1, &mut TedWorkspace::new()),
+            None
+        );
+        let free_insert = CostModel {
+            insert: 0,
+            delete: 1,
+            relabel: 1,
+        };
+        let mut engine = TedEngine::new(free_insert, Strategy::Dynamic);
+        assert_eq!(engine.within(&pa, &pb, 1), Some(0));
+        assert_eq!(engine.distance_within(&pa, &pb, 1), Some(0));
+        assert_eq!(engine.computations(), 2);
+        // The other direction deletes three nodes at cost 1 each.
+        assert_eq!(engine.within(&pb, &pa, 2), None);
+        assert_eq!(engine.within(&pb, &pa, 3), Some(3));
+        // Weighted renames: the band is not used, the exact DP decides.
+        let pricey_rename = CostModel {
+            insert: 1,
+            delete: 1,
+            relabel: 5,
+        };
+        let (tc, td) = pair("{a{b}}", "{a{c}}");
+        let (pc, pd) = (PreparedTree::new(&tc), PreparedTree::new(&td));
+        let mut engine = TedEngine::new(pricey_rename, Strategy::Left);
+        assert_eq!(engine.within(&pc, &pd, 2), Some(2));
+        assert_eq!(engine.within(&pc, &pd, 1), None);
+    }
+
+    #[test]
+    fn distance_within_counts_size_rejects() {
+        let (ta, tb) = pair("{a{b}{c}{d}{e}}", "{a}");
+        let (pa, pb) = (PreparedTree::new(&ta), PreparedTree::new(&tb));
+        let mut engine = TedEngine::unit();
+        assert_eq!(engine.distance_within(&pa, &pb, 2), None);
+        assert_eq!(engine.computations(), 1);
+        assert_eq!(engine.distance_within(&pa, &pb, 4), Some(4));
+        assert_eq!(engine.computations(), 2);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! reproduction of *Scaling Similarity Joins over Tree-Structured Data*
 //! (Tang, Cai & Mamoulis, VLDB 2015).
 //!
-//! * [`zs`] — the Zhang–Shasha O(n²)-space dynamic program;
+//! * [`zs`] — the Zhang–Shasha O(n²)-space dynamic program, unbounded and
+//!   τ-bounded ([`tree_distance_within`], the verify leaf of every join);
 //! * [`hybrid`] — an RTED-inspired engine that dynamically picks between
 //!   left-path and mirrored (right-path) decompositions per tree pair (see
-//!   DESIGN.md for the substitution note);
+//!   the substitution notes in `docs/ARCHITECTURE.md`);
 //! * [`sed`](mod@sed) — full and banded (threshold-aware) string edit distance;
 //! * [`bounds`] — the TED lower bounds used by the filtering baselines.
 
@@ -30,4 +31,4 @@ pub use hybrid::{ted, PreparedTree, Strategy, TedEngine};
 pub use outcome::{JoinOutcome, JoinStats, StageCount, TreeIdx};
 pub use sed::{sed, sed_with, sed_within, sed_within_with, SedScratch};
 pub use ted_tree::{TedBuildScratch, TedTree};
-pub use zs::{tree_distance, zhang_shasha, TedWorkspace};
+pub use zs::{tree_distance, tree_distance_within, zhang_shasha, TedWorkspace};

@@ -1,8 +1,10 @@
 //! Doc-link lint: every intra-repo markdown link in `README.md` and
-//! `docs/*.md` must point at a file (or directory) that exists, and
-//! every document under `docs/` must be reachable from the README.
-//! Runs as part of the normal `cargo test` tier, so a renamed file or
-//! a typo'd path fails CI instead of shipping a dead link.
+//! `docs/*.md` must point at a file (or directory) that exists, every
+//! document under `docs/` must be reachable from the README, and every
+//! `.md` path named in a `//!` or `///` comment under `crates/*/src`
+//! must exist relative to the repo root. Runs as part of the normal `cargo test` tier, so a
+//! renamed file or a typo'd path fails CI instead of shipping a dead
+//! link.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -144,4 +146,85 @@ fn every_doc_is_reachable_from_the_readme() {
         unreachable.is_empty(),
         "docs not linked from README.md: {unreachable:?}"
     );
+}
+
+/// Every `.rs` file under `crates/*/src`, sorted.
+fn crate_sources() -> Vec<PathBuf> {
+    fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
+        let entries =
+            std::fs::read_dir(dir).unwrap_or_else(|e| panic!("cannot list {}: {e}", dir.display()));
+        for entry in entries {
+            let path = entry.expect("readable dir entry").path();
+            if path.is_dir() {
+                walk(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let mut sources = Vec::new();
+    let crates = std::fs::read_dir(repo_root().join("crates")).expect("crates/ exists");
+    for entry in crates {
+        let src = entry.expect("readable dir entry").path().join("src");
+        if src.is_dir() {
+            walk(&src, &mut sources);
+        }
+    }
+    sources.sort();
+    sources
+}
+
+/// The `.md` file names a doc-comment line mentions: maximal runs of
+/// path characters ending in `.md` (an `#anchor` suffix is dropped).
+fn md_references(line: &str) -> Vec<&str> {
+    let is_path_char = |c: char| c.is_ascii_alphanumeric() || "_-./".contains(c);
+    line.split(|c: char| !is_path_char(c))
+        .map(|word| word.trim_start_matches('.').trim_end_matches('.'))
+        .filter(|word| word.len() > ".md".len() && word.ends_with(".md"))
+        .collect()
+}
+
+#[test]
+fn md_references_in_rust_doc_comments_resolve() {
+    let root = repo_root();
+    let mut broken = Vec::new();
+    let mut checked = 0usize;
+    for source in crate_sources() {
+        let text = std::fs::read_to_string(&source)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", source.display()));
+        for (lineno, line) in text.lines().enumerate() {
+            let trimmed = line.trim_start();
+            if !(trimmed.starts_with("//!") || trimmed.starts_with("///")) {
+                continue;
+            }
+            for reference in md_references(trimmed) {
+                // Source comments name documents by repo-root path.
+                checked += 1;
+                if !root.join(reference).exists() {
+                    broken.push(format!(
+                        "{}:{}: `{}` does not exist",
+                        source.strip_prefix(&root).unwrap_or(&source).display(),
+                        lineno + 1,
+                        reference
+                    ));
+                }
+            }
+        }
+    }
+    assert!(checked > 0, "no .md references found in crate doc comments");
+    assert!(
+        broken.is_empty(),
+        "unresolved .md references in doc comments:\n{}",
+        broken.join("\n")
+    );
+}
+
+#[test]
+fn md_reference_extraction() {
+    assert_eq!(
+        md_references("//! see `docs/ARCHITECTURE.md#substitution-notes`)."),
+        vec!["docs/ARCHITECTURE.md"]
+    );
+    assert_eq!(md_references("/// per DESIGN.md."), vec!["DESIGN.md"]);
+    assert!(md_references("/// the .md suffix, and md5").is_empty());
 }
