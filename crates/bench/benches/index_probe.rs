@@ -1,6 +1,13 @@
 //! Micro-benchmarks of the two-layer subgraph index (§3.4): insertion of
 //! a partitioned tree and per-node probes under the three window policies.
 //! Probe cost is the core of PartSJ's candidate-generation bars.
+//!
+//! The `safe`/`tight`/`paper` probe series index 200 mutants of one base
+//! tree and probe one of them, so nearly every probe hits. The `mixed`
+//! series probes a tree against an index of an unrelated synthetic
+//! collection, where most (node, size layer) probes find none of the
+//! node's twig keys in the layer: the case the per-layer twig filter
+//! short-circuits.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use partsj::{
@@ -10,7 +17,7 @@ use partsj::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use tsj_datagen::{grow_tree, mutate, ShapeProfile};
+use tsj_datagen::{grow_tree, mutate, synthetic, ShapeProfile, SyntheticParams};
 use tsj_tree::{BinaryTree, Label, Tree};
 
 fn sample_trees(count: usize, size: usize, seed: u64) -> Vec<Tree> {
@@ -64,6 +71,47 @@ fn bench_insert(c: &mut Criterion) {
     group.finish();
 }
 
+/// One probe of every node of `probe_tree` against the size layers
+/// `[size − τ, size]` of `index`, in the production shape: size layers
+/// resolved once per tree, twig keys once per node, match scratch
+/// reused. Returns the number of matched handles.
+fn probe_all_nodes(index: &SubgraphIndex, probe_tree: &Tree, tau: u32) -> u64 {
+    let probe_bin = BinaryTree::from_tree(probe_tree);
+    let posts = probe_tree.postorder_numbers();
+    let size = probe_tree.len() as u32;
+    let mut hits = 0u64;
+    let layers: Vec<_> = (size.saturating_sub(tau)..=size)
+        .filter_map(|n| index.layer_id(n))
+        .collect();
+    let mut match_cache = MatchCache::new();
+    for node in probe_bin.node_ids() {
+        let label = probe_bin.label(node);
+        let left = probe_bin
+            .left(node)
+            .map_or(Label::EPSILON, |ch| probe_bin.label(ch));
+        let right = probe_bin
+            .right(node)
+            .map_or(Label::EPSILON, |ch| probe_bin.label(ch));
+        let keys = TwigKeys::new(label, left, right);
+        match_cache.begin_node();
+        let pos = index.probe_position(posts[node.index()], size);
+        for &layer in &layers {
+            index.layer(layer).probe(pos, &keys, |handle| {
+                if index.matches_at(
+                    handle,
+                    &probe_bin,
+                    node,
+                    MatchSemantics::Exact,
+                    &mut match_cache,
+                ) {
+                    hits += 1;
+                }
+            });
+        }
+    }
+    hits
+}
+
 fn bench_probe(c: &mut Criterion) {
     let mut group = c.benchmark_group("index/probe_all_nodes");
     let tau = 3u32;
@@ -74,48 +122,21 @@ fn bench_probe(c: &mut Criterion) {
         ("paper", WindowPolicy::PaperAbsolute),
     ] {
         let (index, _) = build_index(&trees, tau, window);
-        let probe_tree = &trees[0];
-        let probe_bin = BinaryTree::from_tree(probe_tree);
-        let posts = probe_tree.postorder_numbers();
-        let size = probe_tree.len() as u32;
         group.bench_function(name, |bench| {
-            // The production probe shape: size layers resolved once per
-            // tree, twig keys once per node, match scratch reused.
-            bench.iter(|| {
-                let mut hits = 0u64;
-                let layers: Vec<_> = (size.saturating_sub(tau)..=size)
-                    .filter_map(|n| index.layer_id(n))
-                    .collect();
-                let mut match_cache = MatchCache::new();
-                for node in probe_bin.node_ids() {
-                    let label = probe_bin.label(node);
-                    let left = probe_bin
-                        .left(node)
-                        .map_or(Label::EPSILON, |ch| probe_bin.label(ch));
-                    let right = probe_bin
-                        .right(node)
-                        .map_or(Label::EPSILON, |ch| probe_bin.label(ch));
-                    let keys = TwigKeys::new(label, left, right);
-                    match_cache.begin_node();
-                    let pos = index.probe_position(posts[node.index()], size);
-                    for &layer in &layers {
-                        index.layer(layer).probe(pos, &keys, |handle| {
-                            if index.matches_at(
-                                handle,
-                                &probe_bin,
-                                node,
-                                MatchSemantics::Exact,
-                                &mut match_cache,
-                            ) {
-                                hits += 1;
-                            }
-                        });
-                    }
-                }
-                black_box(hits)
-            })
+            bench.iter(|| black_box(probe_all_nodes(&index, &trees[0], tau)))
         });
     }
+    // Miss-heavy: 2000 unrelated synthetic trees (average size 60, half
+    // in near-duplicate clusters), probed with a tree of another seed.
+    let params = SyntheticParams {
+        avg_size: 60,
+        ..SyntheticParams::default()
+    };
+    let (index, _) = build_index(&synthetic(2000, &params, 9), tau, WindowPolicy::Safe);
+    let probe_tree = synthetic(1, &params, 10).remove(0);
+    group.bench_function("mixed", |bench| {
+        bench.iter(|| black_box(probe_all_nodes(&index, &probe_tree, tau)))
+    });
     group.finish();
 }
 

@@ -189,6 +189,8 @@ pub fn partsj_join_detailed(
         obs.counter("tsj_core_candidates_total")
             .add(stats.candidates);
         obs.counter("tsj_core_ted_calls_total").add(stats.ted_calls);
+        obs.counter("tsj_core_probe_bucket_reads_total")
+            .add(counters.bucket_reads);
         obs.counter("tsj_core_result_pairs_total")
             .add(pairs.len() as u64);
         obs.histogram("tsj_core_candidate_ms")

@@ -79,6 +79,18 @@ pub struct ProbeCounters {
     pub match_attempts: u64,
     /// Match attempts that succeeded.
     pub matches: u64,
+    /// Probes that passed the layer's twig-presence filter and went on to
+    /// read a position bucket (at most `probes`).
+    pub bucket_reads: u64,
+}
+
+impl std::ops::AddAssign for ProbeCounters {
+    fn add_assign(&mut self, other: ProbeCounters) {
+        self.probes += other.probes;
+        self.match_attempts += other.match_attempts;
+        self.matches += other.matches;
+        self.bucket_reads += other.bucket_reads;
+    }
 }
 
 /// The container-size window a probe of `size` nodes must visit at
@@ -136,7 +148,7 @@ pub fn probe_tree_nodes<S: CandidateSink>(
         let position = index.probe_position(posts[node.index()], probe_size);
         for &layer in layer_window {
             counters.probes += 1;
-            index.layer(layer).probe(position, &keys, |handle| {
+            let read = index.layer(layer).probe(position, &keys, |handle| {
                 let tree = index.tree_of(handle);
                 if !sink.admit(tree) {
                     return;
@@ -147,6 +159,7 @@ pub fn probe_tree_nodes<S: CandidateSink>(
                     sink.accept(tree);
                 }
             });
+            counters.bucket_reads += u64::from(read);
         }
     }
 }
@@ -189,6 +202,15 @@ mod tests {
     use tsj_tree::{parse_bracket, LabelInterner, Tree};
 
     fn probe_candidates(index: &SubgraphIndex, tree: &Tree, lo: u32, hi: u32) -> Vec<TreeIdx> {
+        probe_counted(index, tree, lo, hi).0
+    }
+
+    fn probe_counted(
+        index: &SubgraphIndex,
+        tree: &Tree,
+        lo: u32,
+        hi: u32,
+    ) -> (Vec<TreeIdx>, ProbeCounters) {
         let binary = BinaryTree::from_tree(tree);
         let posts = tree.postorder_numbers();
         let mut layers = Vec::new();
@@ -214,27 +236,80 @@ mod tests {
             &mut sink,
         );
         assert!(counters.match_attempts >= counters.matches);
+        assert!(counters.bucket_reads <= counters.probes);
         candidates.sort_unstable();
-        candidates
+        (candidates, counters)
+    }
+
+    /// An index over `sources`, one tree id per source, at `tau`.
+    fn index_over(sources: &[&str], tau: u32, labels: &mut LabelInterner) -> SubgraphIndex {
+        let config = PartSjConfig::default();
+        let mut index = SubgraphIndex::new(tau, WindowPolicy::Safe);
+        for (i, src) in sources.iter().enumerate() {
+            let tree = parse_bracket(src, labels).unwrap();
+            let binary = BinaryTree::from_tree(&tree);
+            let cuts = cuts_for(&binary, 2 * tau as usize + 1, config.partitioning, i as u64);
+            let sgs = build_subgraphs(&binary, &tree.postorder_numbers(), &cuts, i as TreeIdx);
+            index.insert_tree(tree.len() as u32, sgs);
+        }
+        index
+    }
+
+    #[test]
+    fn disjoint_alphabets_read_no_bucket() {
+        let mut labels = LabelInterner::new();
+        let tau = 1;
+        let index = index_over(
+            &[
+                "{a{b{c}{d}}{e}{f}}",
+                "{a{b}{c{d}{e}}{f}}",
+                "{b{a}{c}{d{e}{f}}}",
+            ],
+            tau,
+            &mut labels,
+        );
+        let probe = parse_bracket("{p{q{r}{s}}{t}{u}}", &mut labels).unwrap();
+        let n = probe.len() as u32;
+        let (found, counters) = probe_counted(&index, &probe, n - tau, n + tau);
+        assert!(found.is_empty());
+        assert!(counters.probes > 0);
+        assert_eq!(counters.bucket_reads, 0, "{counters:?}");
+        // The index's own trees do read buckets.
+        let own = parse_bracket("{a{b{c}{d}}{e}{f}}", &mut labels).unwrap();
+        let (found, counters) = probe_counted(&index, &own, n - tau, n + tau);
+        assert!(found.contains(&0));
+        assert!(counters.bucket_reads > 0);
+    }
+
+    #[test]
+    fn counters_add_field_by_field() {
+        let mut total = ProbeCounters {
+            probes: 1,
+            match_attempts: 2,
+            matches: 3,
+            bucket_reads: 4,
+        };
+        total += total;
+        assert_eq!(
+            total,
+            ProbeCounters {
+                probes: 2,
+                match_attempts: 4,
+                matches: 6,
+                bucket_reads: 8,
+            }
+        );
     }
 
     #[test]
     fn stamp_sink_dedups_and_collects() {
         let mut labels = LabelInterner::new();
         let tau = 1;
-        let config = PartSjConfig::default();
-        let mut index = SubgraphIndex::new(tau, WindowPolicy::Safe);
-        for (i, src) in ["{a{b}{c}{d}}", "{a{b}{c}{e}}", "{z{y}{x}{w}}"]
-            .iter()
-            .enumerate()
-        {
-            let tree = parse_bracket(src, &mut labels).unwrap();
-            let binary = BinaryTree::from_tree(&tree);
-            let delta = 2 * tau as usize + 1;
-            let cuts = cuts_for(&binary, delta, config.partitioning, i as u64);
-            let sgs = build_subgraphs(&binary, &tree.postorder_numbers(), &cuts, i as TreeIdx);
-            index.insert_tree(tree.len() as u32, sgs);
-        }
+        let index = index_over(
+            &["{a{b}{c}{d}}", "{a{b}{c}{e}}", "{z{y}{x}{w}}"],
+            tau,
+            &mut labels,
+        );
         let probe = parse_bracket("{a{b}{c}{d}}", &mut labels).unwrap();
         let n = probe.len() as u32;
         let found = probe_candidates(&index, &probe, n.saturating_sub(tau).max(1), n + tau);

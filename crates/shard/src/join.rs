@@ -325,9 +325,7 @@ pub fn sharded_join_detailed(
                 let (c, s, k) = prober.join().expect("probe worker panicked");
                 candidates_total += c;
                 small_candidates += s;
-                counters.probes += k.probes;
-                counters.match_attempts += k.match_attempts;
-                counters.matches += k.matches;
+                counters += k;
             }
             // Probe side done: everything after this instant is pure
             // verification drain.
